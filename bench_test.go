@@ -1,9 +1,9 @@
 package gesture
 
-// Benchmark harness: one benchmark per experiment of DESIGN.md /
-// EXPERIMENTS.md (the paper has no numbered result tables, so each figure
-// and quantified claim is an experiment), plus micro-benchmarks of the hot
-// paths. Regenerate everything with:
+// Benchmark harness: one benchmark per experiment of internal/experiments
+// (the paper has no numbered result tables, so each figure and quantified
+// claim is an experiment), plus micro-benchmarks of the hot paths.
+// Regenerate everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -13,6 +13,7 @@ package gesture
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -260,6 +261,49 @@ func BenchmarkEndToEndTuple(b *testing.B) {
 		if err := h.Raw.Publish(tup); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNFABusyStream measures the engine step on a busy stream: one
+// transformed tuple through the NFAs of eight learned plans while a gesture
+// starts about every half second, so partial matches are live and window
+// expiry runs on every tuple. The recording replays with its event time
+// shifted forward on each pass. Steady state must not allocate: the only
+// allocations left are the outputs of completed matches, which must average
+// out below one per tuple (the 0 allocs/op that -benchmem reports).
+func BenchmarkNFABusyStream(b *testing.B) {
+	fx := loadBusyStream(b)
+	nfas := make([]*cep.NFA, len(fx.plans))
+	for i, p := range fx.plans {
+		nfas[i] = p.Program.Instantiate()
+	}
+	span := fx.view[len(fx.view)-1].Ts.Sub(fx.view[0].Ts)
+	stride := span + time.Minute // longer than any learned window
+	step := func(i int) {
+		tup := fx.view[i%len(fx.view)]
+		tup.Ts = tup.Ts.Add(time.Duration(i/len(fx.view)) * stride)
+		for _, n := range nfas {
+			n.Process(tup)
+		}
+	}
+	// One warm-up pass grows the run slices and free lists to their
+	// steady-state size.
+	for i := 0; i < len(fx.view); i++ {
+		step(i)
+	}
+	warm := len(fx.view)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(warm + i)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+	if allocs := (after.Mallocs - before.Mallocs) / uint64(b.N); allocs != 0 {
+		b.Fatalf("%d allocs/op in steady state, want 0", allocs)
 	}
 }
 

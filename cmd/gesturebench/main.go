@@ -1,6 +1,7 @@
-// Command gesturebench runs the reproduction experiments E1–E9 (see
-// DESIGN.md and EXPERIMENTS.md) and prints their result tables — the
-// regeneration harness for every figure and quantified claim of the paper.
+// Command gesturebench runs the reproduction experiments E1–E10 (see
+// DESIGN.md and the internal/experiments package) and prints their result
+// tables — the regeneration harness for every figure and quantified claim of
+// the paper.
 //
 // Usage:
 //

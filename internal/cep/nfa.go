@@ -2,7 +2,7 @@ package cep
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"gesturecep/internal/stream"
 )
@@ -16,11 +16,11 @@ type state struct {
 
 // windowConstraint enforces a `within` clause over the atoms [first, last]
 // (inclusive, indices into the flattened state list): the tuple matched at
-// state `last` must arrive no later than `within` after the tuple matched at
-// state `first`.
+// state `last` must arrive no later than `within` nanoseconds after the tuple
+// matched at state `first`.
 type windowConstraint struct {
 	first, last int
-	within      time.Duration
+	within      int64
 }
 
 // Program is the immutable, compiled form of a Pattern: the flattened state
@@ -65,7 +65,7 @@ func (prog *Program) flatten(p Pattern) (first, last int) {
 			_, last = prog.flatten(e)
 		}
 		if pt.Within > 0 {
-			prog.constraints = append(prog.constraints, windowConstraint{first: first, last: last, within: pt.Within})
+			prog.constraints = append(prog.constraints, windowConstraint{first: first, last: last, within: int64(pt.Within)})
 		}
 		return first, last
 	default:
@@ -120,11 +120,16 @@ type NFA struct {
 }
 
 // run is one partial match: next is the state awaiting a tuple, ts[i] holds
-// the match time for state i < next.
+// the match time of state i < next in Unix nanoseconds, the event-time
+// encoding of the wire and store formats. deadline is the earliest deadline
+// of the window constraints the run has entered but not finished, or
+// math.MaxInt64 if there are none; satisfiable sets it whenever the run
+// starts or advances, and the run is alive at time now iff now <= deadline.
 type run struct {
-	next   int
-	ts     []time.Time
-	tuples []stream.Tuple
+	next     int
+	deadline int64
+	ts       []int64
+	tuples   []stream.Tuple
 }
 
 // DefaultMaxRuns bounds simultaneous partial matches per query.
@@ -172,11 +177,11 @@ func (n *NFA) getRun(t stream.Tuple) *run {
 		r := n.free[len(n.free)-1]
 		n.free = n.free[:len(n.free)-1]
 		r.next = 1
-		r.ts = append(r.ts[:0], t.Ts)
+		r.ts = append(r.ts[:0], t.Ts.UnixNano())
 		r.tuples = append(r.tuples[:0], t)
 		return r
 	}
-	return &run{next: 1, ts: []time.Time{t.Ts}, tuples: []stream.Tuple{t}}
+	return &run{next: 1, ts: []int64{t.Ts.UnixNano()}, tuples: []stream.Tuple{t}}
 }
 
 // putRun recycles a run that is no longer referenced anywhere. Tuple
@@ -200,8 +205,9 @@ func (n *NFA) Stats() (processed, predCalls, matches, pruned uint64) {
 // completes. Tuples must arrive in non-decreasing timestamp order.
 func (n *NFA) Process(t stream.Tuple) []Match {
 	states := n.prog.states
+	now := t.Ts.UnixNano()
 	n.processed++
-	n.expire(t.Ts)
+	n.expire(now)
 
 	var completed []*run
 
@@ -212,10 +218,10 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 		if !st.pred(t) {
 			continue
 		}
-		r.ts = append(r.ts, t.Ts)
+		r.ts = append(r.ts, now)
 		r.tuples = append(r.tuples, t)
 		r.next++
-		if !n.satisfiable(r, t.Ts) {
+		if !n.satisfiable(r, now) {
 			r.next = -1 // mark dead; swept below
 			n.runsPruned++
 			continue
@@ -232,7 +238,7 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 		if len(states) == 1 {
 			r.next = len(states)
 			completed = append(completed, r)
-		} else if n.satisfiable(r, t.Ts) {
+		} else if n.satisfiable(r, now) {
 			n.runs = append(n.runs, r)
 			if len(n.runs) > n.maxRuns {
 				// Evict the oldest partial run to bound memory. A completed
@@ -265,8 +271,8 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 	out := make([]Match, 0, len(selected))
 	for _, r := range selected {
 		out = append(out, Match{
-			Start:  r.ts[0],
-			End:    r.ts[len(r.ts)-1],
+			Start:  r.tuples[0].Ts,
+			End:    r.tuples[len(r.tuples)-1].Ts,
 			Tuples: append([]stream.Tuple(nil), r.tuples...),
 		})
 	}
@@ -289,40 +295,55 @@ func (n *NFA) Process(t stream.Tuple) []Match {
 }
 
 // satisfiable checks the window constraints that the run has started but not
-// yet finished, plus those fully matched. A constraint whose `first` state
-// is matched imposes a deadline; if the constraint's `last` state is already
-// matched it must hold now, otherwise it must still be reachable.
-func (n *NFA) satisfiable(r *run, now time.Time) bool {
+// yet finished, plus those fully matched, and records the run's deadline. A
+// constraint whose `first` state is matched imposes a deadline; if the
+// constraint's `last` state is already matched it must hold now, otherwise it
+// must still be reachable. It is called each time the run starts or
+// advances, so the constraints it passes as fully matched stay satisfied
+// until the run ends.
+func (n *NFA) satisfiable(r *run, now int64) bool {
+	r.deadline = math.MaxInt64
 	for _, c := range n.prog.constraints {
 		if r.next <= c.first {
 			continue // constraint window not entered yet
 		}
-		deadline := r.ts[c.first].Add(c.within)
+		deadline := addSat(r.ts[c.first], c.within)
 		if r.next > c.last {
 			// Fully matched: verify the recorded times.
-			if r.ts[c.last].After(deadline) {
+			if r.ts[c.last] > deadline {
 				return false
 			}
 			continue
 		}
 		// Partially inside the window: the last state will be matched at
 		// some time >= now.
-		if now.After(deadline) {
+		if now > deadline {
 			return false
 		}
+		r.deadline = min(r.deadline, deadline)
 	}
 	return true
 }
 
+// addSat returns ts + d for d >= 0, saturating at math.MaxInt64 instead of
+// wrapping, so a window reaching past the end of int64 event time never
+// expires.
+func addSat(ts, d int64) int64 {
+	if ts > math.MaxInt64-d {
+		return math.MaxInt64
+	}
+	return ts + d
+}
+
 // expire removes runs whose pending window constraints can no longer be met
-// at time now.
-func (n *NFA) expire(now time.Time) {
+// at time now: those past their deadline.
+func (n *NFA) expire(now int64) {
 	if len(n.runs) == 0 || len(n.prog.constraints) == 0 {
 		return
 	}
 	kept := n.runs[:0]
 	for _, r := range n.runs {
-		if n.satisfiable(r, now) {
+		if now <= r.deadline {
 			kept = append(kept, r)
 		} else {
 			n.runsPruned++

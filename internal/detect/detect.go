@@ -1,8 +1,8 @@
 // Package detect is the evaluation harness: it deploys gesture queries in a
 // fresh engine, replays labelled sessions from the simulator, matches
 // detections against ground truth and computes precision/recall/F1 and
-// latency statistics. Every experiment in EXPERIMENTS.md is built on this
-// package.
+// latency statistics. Every experiment in internal/experiments is built on
+// this package.
 package detect
 
 import (
