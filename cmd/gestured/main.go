@@ -147,12 +147,6 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 			liveRecs[rec] = struct{}{}
 			recMu.Unlock()
 			return rec.Tap(), func(aborted bool) {
-				recMu.Lock()
-				delete(liveRecs, rec)
-				recMu.Unlock()
-				doneTuples.Add(rec.Recorded())
-				doneDropped.Add(rec.Dropped())
-				doneBytes.Add(rec.Writer().Bytes())
 				end := arch.Release
 				if aborted { // attach failed: drop the never-used recording
 					end = arch.Abort
@@ -160,6 +154,13 @@ func run(addr, name string, shards, queue int, policyName string, gestures int, 
 				if err := end(rec); err != nil {
 					log.Printf("gestured: recording %q: %v", rec.Stream(), err)
 				}
+				// Counted once closed: the partial record lands at Close.
+				recMu.Lock()
+				delete(liveRecs, rec)
+				doneTuples.Add(rec.Recorded())
+				doneDropped.Add(rec.Dropped())
+				doneBytes.Add(rec.Writer().Bytes())
+				recMu.Unlock()
 			}, nil
 		}
 		fmt.Printf("recording sessions into %s\n", recordDir)

@@ -96,6 +96,68 @@ func BenchmarkRecordAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkRecorderTap measures the tap a recorded session runs on its
+// live feed path — encoding the tuple into the pending record and handing
+// full records to the drain — at kinect width, in ns/tuple. The stream is
+// recreated every resetEvery taps (outside the timer) to bound the
+// segments on the filesystem. After the timed loop it gates the steady
+// state at 0 allocs/op over 8192 taps (32 records), a window that spans
+// record handoffs, buffer recycling and the drain's writes.
+func BenchmarkRecorderTap(b *testing.B) {
+	const resetEvery = 1 << 16 // ~24 MB of segments between resets
+	tuples := benchTuples(4096)
+	dir := benchDir(b)
+	var rec *Recorder
+	var tap func(stream.Tuple)
+	var dropped uint64 // by the recorders already stopped
+	start := func() {
+		w, err := Create(dir, "tap", kinect.Schema(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec = NewRecorder(w, 0)
+		tap = rec.Tap()
+	}
+	stop := func() {
+		if err := rec.Close(); err != nil {
+			b.Fatal(err)
+		}
+		dropped += rec.Dropped()
+		if err := os.RemoveAll(StreamDir(dir, "tap")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	start()
+	// Warm up past two record handoffs, leaving a partial record pending.
+	for i := 0; i < 5*DefaultBatchTuples/2; i++ {
+		tap(tuples[i%len(tuples)])
+	}
+	base := rec.Dropped()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%resetEvery == 0 {
+			b.StopTimer()
+			stop()
+			start()
+			b.StartTimer()
+		}
+		tap(tuples[i%len(tuples)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/tuple")
+	b.ReportMetric(float64(dropped+rec.Dropped()-base)/float64(b.N), "drops/tuple")
+	i := 0
+	allocs := testing.AllocsPerRun(8192, func() {
+		tap(tuples[i%len(tuples)])
+		i++
+	})
+	stop()
+	if allocs != 0 {
+		b.Fatalf("tap steady state: %v allocs/op, want 0", allocs)
+	}
+}
+
 // BenchmarkSeek measures positioning a reader deep into a many-segment
 // stream — the sparse-index path (segment binary search + sidecar lookup +
 // bounded residual scan) against the full decode-and-skip scan it replaces.

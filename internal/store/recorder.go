@@ -9,31 +9,35 @@ import (
 	"gesturecep/internal/stream"
 )
 
-// DefaultRecorderBuffer is the default depth of a Recorder's tap buffer.
+// DefaultRecorderBuffer is the default bound, in tuples, on a Recorder's
+// queue of encoded records.
 const DefaultRecorderBuffer = 4096
 
-// Recorder decouples a live serving session from disk: the Tap function is
-// installed on the session's feed path and only ever does a non-blocking
-// send into a bounded buffer, so recording can never stall ingestion — if
-// the disk falls behind, tuples are dropped from the recording (never from
-// detection) and counted. A single drain goroutine owns the Writer.
+// Recorder decouples a live serving session from disk. The Tap function is
+// installed on the session's feed path and encodes each tuple into the
+// session's pending record; a full record goes to a bounded queue with a
+// non-blocking send, so recording can never stall ingestion — if the disk
+// falls behind, whole records are dropped from the recording (never from
+// detection) and counted. A single drain goroutine owns the Writer and
+// writes one record per wakeup.
 type Recorder struct {
 	w      *Writer
-	ch     chan stream.Tuple
+	ch     chan *recordBuf // full records, in tap order
 	syncCh chan chan error
 	quit   chan struct{}
 	done   chan struct{}
 
-	// tapMu makes Close a barrier for in-flight taps: taps hold the read
-	// side around the closed-check-then-send, Close flips closed under the
-	// write side, so once Close holds the lock no tap can still sneak a
-	// tuple into the buffer uncounted — Recorded()+Dropped() equals the
-	// number of tap calls exactly.
-	tapMu    sync.RWMutex
-	closed   atomic.Bool
+	// tapMu serializes the taps' encoding into pending and makes Close a
+	// barrier for in-flight taps: Close flips closed under it, so once
+	// Close holds the lock no tap can still sneak a record into the queue
+	// uncounted — Recorded()+Dropped() equals the number of tap calls
+	// exactly.
+	tapMu    sync.Mutex
+	pending  *recordBuf // partial record the taps encode into; nil when empty
+	closed   bool
 	recorded atomic.Uint64
 	dropped  atomic.Uint64
-	err      atomic.Value // first Writer error, as errBox
+	err      atomic.Value // first error, as errBox
 
 	closeOnce sync.Once
 	closeErr  error
@@ -42,14 +46,18 @@ type Recorder struct {
 type errBox struct{ err error }
 
 // NewRecorder starts recording into w, taking ownership of it (Close
-// closes the writer). buffer <= 0 selects DefaultRecorderBuffer.
+// closes the writer). buffer bounds the queue of full records, in tuples,
+// rounded up to whole records; buffer <= 0 selects DefaultRecorderBuffer.
 func NewRecorder(w *Writer, buffer int) *Recorder {
 	if buffer <= 0 {
 		buffer = DefaultRecorderBuffer
 	}
+	// The queue holds ⌈buffer / BatchTuples⌉ records, so buffer keeps its
+	// meaning as a bound in tuples.
+	batch := w.opts.BatchTuples
 	r := &Recorder{
 		w:      w,
-		ch:     make(chan stream.Tuple, buffer),
+		ch:     make(chan *recordBuf, (buffer+batch-1)/batch),
 		syncCh: make(chan chan error),
 		quit:   make(chan struct{}),
 		done:   make(chan struct{}),
@@ -59,67 +67,101 @@ func NewRecorder(w *Writer, buffer int) *Recorder {
 }
 
 // Tap returns the function to install on the live feed path (e.g. as
-// serve.SessionOptions.Tap). It never blocks on the disk: a full buffer or
-// a recorder that has stopped counts the tuple as dropped and moves on.
-// (The read lock only contends with Close itself, and only for an
-// instant.)
+// serve.SessionOptions.Tap). It never blocks on the disk: a full queue
+// drops the record just completed, and a recorder that has stopped counts
+// the tuple as dropped and moves on. (The lock contends only with other
+// taps of the session, Close and the drain's cut, each for an instant.)
 func (r *Recorder) Tap() func(stream.Tuple) {
+	fields, batch := len(r.w.man.Fields), r.w.opts.BatchTuples
 	return func(t stream.Tuple) {
-		r.tapMu.RLock()
-		defer r.tapMu.RUnlock()
-		if r.closed.Load() || r.err.Load() != nil {
+		r.tapMu.Lock()
+		defer r.tapMu.Unlock()
+		if r.closed || r.err.Load() != nil {
 			r.dropped.Add(1)
 			return
 		}
-		select {
-		case r.ch <- t:
-		default:
+		if err := r.w.checkWidth(&t); err != nil {
+			r.fail(err)
 			r.dropped.Add(1)
+			return
+		}
+		if r.pending == nil {
+			r.pending = getRecord(fields, batch)
+		}
+		r.pending.add(&t)
+		if r.pending.n < batch {
+			return
+		}
+		select {
+		case r.ch <- r.pending:
+			r.pending = nil
+		default:
+			r.dropped.Add(uint64(r.pending.n))
+			r.pending.reset()
 		}
 	}
 }
 
-// drain moves tuples from the tap buffer to the writer until Close.
+// drain writes records from the queue until Close.
 func (r *Recorder) drain() {
 	defer close(r.done)
 	for {
 		select {
-		case t := <-r.ch:
-			r.append(t)
+		case rb := <-r.ch:
+			r.write(rb)
 		case reply := <-r.syncCh:
-			// Serviced on this goroutine so the backlog sweep and the
-			// writer flush never race an append.
-			r.drainBacklog()
+			// Serviced on this goroutine so the cut and the writer flush
+			// never race a record write.
+			r.cut()
 			if err := r.Err(); err != nil {
 				reply <- err
 			} else {
 				reply <- r.w.Flush()
 			}
 		case <-r.quit:
-			// Drain whatever the taps managed to buffer before Close.
-			r.drainBacklog()
+			r.cut()
 			return
 		}
 	}
 }
 
-// drainBacklog empties the tap buffer into the writer without blocking.
-func (r *Recorder) drainBacklog() {
-	for {
-		select {
-		case t := <-r.ch:
-			r.append(t)
-		default:
-			return
-		}
+// cut writes every record queued so far and then the partial record, in
+// tap order. Taps keep running: records they complete after the cut queue
+// behind it.
+func (r *Recorder) cut() {
+	r.tapMu.Lock()
+	queued, pending := len(r.ch), r.pending
+	r.pending = nil
+	r.tapMu.Unlock()
+	for ; queued > 0; queued-- {
+		r.write(<-r.ch)
+	}
+	if pending != nil {
+		r.write(pending)
 	}
 }
 
-// Sync drains the tap backlog and flushes the writer, so that every tuple
-// tapped so far becomes visible to a store.Reader. Call it only once the
-// session feeding the tap is quiescent (sealed and flushed, as during a
-// migration) — with a producer still running there is no meaningful "all
-// tuples" to sync. Returns the first writer error, if any.
+// write hands one record to the writer and recycles its buffer.
+func (r *Recorder) write(rb *recordBuf) {
+	if err := r.w.writeRecord(rb); err != nil {
+		r.fail(err)
+		r.dropped.Add(uint64(rb.n))
+	} else {
+		r.recorded.Add(uint64(rb.n))
+	}
+	recordPool.Put(rb)
+}
+
+// fail keeps the first error; from then on taps count every tuple as
+// dropped.
+func (r *Recorder) fail(err error) { r.err.CompareAndSwap(nil, errBox{err}) }
+
+// Sync writes every tuple tapped so far, the partial record included, and
+// flushes the writer, so that all of them become visible to a
+// store.Reader. Call it only once the session feeding the tap is quiescent
+// (sealed and flushed, as during a migration) — with a producer still
+// running there is no meaningful "all tuples" to sync. Returns the first
+// error, if any.
 func (r *Recorder) Sync() error {
 	reply := make(chan error, 1)
 	select {
@@ -130,28 +172,16 @@ func (r *Recorder) Sync() error {
 	}
 }
 
-func (r *Recorder) append(t stream.Tuple) {
-	if r.err.Load() != nil {
-		r.dropped.Add(1)
-		return
-	}
-	if err := r.w.Append(t); err != nil {
-		r.err.Store(errBox{err})
-		r.dropped.Add(1)
-		return
-	}
-	r.recorded.Add(1)
-}
-
-// Recorded returns the number of tuples handed to the writer.
+// Recorded returns the number of tuples written to the stream. Tuples of
+// the partial record land at Sync or Close.
 func (r *Recorder) Recorded() uint64 { return r.recorded.Load() }
 
-// Dropped returns the number of tuples lost to a full buffer, a stopped
-// recorder or a failed writer.
+// Dropped returns the number of tuples lost to a full queue (whole
+// records), a stopped recorder or a failed writer.
 func (r *Recorder) Dropped() uint64 { return r.dropped.Load() }
 
-// Err returns the first writer error, if any; once set, the recorder stops
-// appending and counts everything as dropped.
+// Err returns the first error, if any — a failed write or a tuple of the
+// wrong width; once set, taps count everything as dropped.
 func (r *Recorder) Err() error {
 	if b, ok := r.err.Load().(errBox); ok {
 		return b.err
@@ -166,16 +196,16 @@ func (r *Recorder) Stream() string { return r.w.Manifest().Stream }
 // counters feed the admin plane's append-throughput gauges.
 func (r *Recorder) Writer() *Writer { return r.w }
 
-// Close stops the taps, drains the buffer and closes the writer.
-// Idempotent; taps installed on still-live sessions keep working (counting
-// drops) after Close.
+// Close stops the taps, writes the queued and partial records and closes
+// the writer. Idempotent; taps installed on still-live sessions keep
+// working (counting drops) after Close.
 func (r *Recorder) Close() error {
 	r.closeOnce.Do(func() {
-		// The write lock waits out in-flight taps, so every tuple that
-		// passed a closed-check is in the buffer before quit is signalled
-		// and the drain's final sweep picks it up.
+		// The lock waits out in-flight taps, so every tuple that passed a
+		// closed-check is queued or pending before quit is signalled and
+		// the drain's final cut writes it.
 		r.tapMu.Lock()
-		r.closed.Store(true)
+		r.closed = true
 		r.tapMu.Unlock()
 		close(r.quit)
 		<-r.done

@@ -1,26 +1,19 @@
 package store
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sync"
 
 	"gesturecep/internal/stream"
-	"gesturecep/internal/wire"
 )
 
-// Writer appends tuples to one recorded stream. Tuples are buffered into
-// records of Options.BatchTuples and framed with a CRC; segments roll at
-// Options.SegmentBytes, and sealing a segment writes its sparse index
-// sidecar. Safe for concurrent use (appends serialize on an internal
-// lock), though the usual producer is a single Recorder drain goroutine.
-//
-// Appended tuples are retained until their record is written; callers that
-// mutate field slices after Append must pass a Clone. (Tuples taken off a
-// live stream are immutable by convention and need no copy.)
+// Writer appends tuples to one recorded stream. Append encodes each tuple
+// at once into a record of Options.BatchTuples, written CRC-framed with a
+// single Write when full; segments roll at Options.SegmentBytes, and
+// sealing a segment writes its sparse index sidecar. Safe for concurrent
+// use (appends serialize on an internal lock), though the usual producer
+// is a single Recorder drain goroutine, handing over whole records.
 type Writer struct {
 	dir  string
 	man  Manifest
@@ -28,16 +21,14 @@ type Writer struct {
 
 	mu        sync.Mutex
 	f         *os.File
-	bw        *bufio.Writer
 	segIndex  int
 	segBytes  int64
-	records   uint64 // stream-wide records written (== next record ordinal)
-	tuples    uint64 // tuples appended this writer (excludes history)
-	bytes     uint64 // record bytes written this writer (headers + payloads)
-	batch     []stream.Tuple
-	encBuf    []byte
+	records   uint64     // stream-wide records written (== next record ordinal)
+	tuples    uint64     // tuples appended this writer (excludes history)
+	bytes     uint64     // record bytes written this writer (headers + payloads)
+	rec       *recordBuf // Append's partial record; nil until the first Append
 	closed    bool
-	failed    error // sticky: a failed roll poisons the writer
+	failed    error // sticky: a failed roll or record write poisons the writer
 	recovered RecoveryInfo
 
 	// Sparse-index state of the segment currently being appended, written
@@ -77,7 +68,10 @@ func (w *Writer) Records() uint64 {
 func (w *Writer) Tuples() uint64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.tuples + uint64(len(w.batch))
+	if w.rec != nil {
+		return w.tuples + uint64(w.rec.n)
+	}
+	return w.tuples
 }
 
 // Bytes returns the record bytes (headers plus payloads) written through
@@ -110,7 +104,6 @@ func (w *Writer) openSegment(index int, baseRecord uint64) error {
 		return err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, 64<<10)
 	w.segIndex = index
 	w.segBytes = segHeaderBytes
 	w.records = baseRecord
@@ -181,7 +174,6 @@ func (w *Writer) recover() error {
 			return err
 		}
 		w.f = f
-		w.bw = bufio.NewWriterSize(f, 64<<10)
 		w.segIndex = index
 		w.segBytes = scan.validBytes
 		w.records = scan.hdr.baseRecord + scan.records
@@ -201,68 +193,99 @@ func (w *Writer) recover() error {
 	return w.openSegment(1, 0)
 }
 
-// Append buffers one tuple; a full buffer is written out as one record.
-func (w *Writer) Append(t stream.Tuple) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// usableLocked reports why the writer can take no more records, if so.
+func (w *Writer) usableLocked() error {
 	if w.failed != nil {
 		return w.failed
 	}
 	if w.closed {
 		return fmt.Errorf("store: writer for %q is closed", w.man.Stream)
 	}
+	return nil
+}
+
+// checkWidth rejects a tuple that does not match the stream schema.
+func (w *Writer) checkWidth(t *stream.Tuple) error {
 	if len(t.Fields) != len(w.man.Fields) {
 		return fmt.Errorf("store: tuple has %d fields, stream %q records %d",
 			len(t.Fields), w.man.Stream, len(w.man.Fields))
 	}
-	w.batch = append(w.batch, t)
-	if len(w.batch) >= w.opts.BatchTuples {
-		return w.writeRecordLocked()
+	return nil
+}
+
+// Append encodes one tuple into the pending record; a full record is
+// written out. The tuple's field slice is not retained.
+func (w *Writer) Append(t stream.Tuple) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.usableLocked(); err != nil {
+		return err
+	}
+	if err := w.checkWidth(&t); err != nil {
+		return err
+	}
+	if w.rec == nil {
+		w.rec = getRecord(len(w.man.Fields), w.opts.BatchTuples)
+	}
+	w.rec.add(&t)
+	if w.rec.n >= w.opts.BatchTuples {
+		return w.flushRecordLocked()
 	}
 	return nil
 }
 
-// writeRecordLocked flushes the buffered tuples as one CRC-framed record
-// and rolls the segment if it crossed the size threshold.
-func (w *Writer) writeRecordLocked() error {
-	if len(w.batch) == 0 {
+// flushRecordLocked writes Append's partial record, if any.
+func (w *Writer) flushRecordLocked() error {
+	if w.rec == nil {
 		return nil
 	}
-	payload, err := wire.AppendBatch(w.encBuf[:0], uint32(w.records), len(w.man.Fields), w.batch)
-	if err != nil {
+	err := w.writeRecordLocked(w.rec)
+	w.rec.reset()
+	return err
+}
+
+// writeRecord writes one record a Recorder tap encoded.
+func (w *Writer) writeRecord(rb *recordBuf) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.usableLocked(); err != nil {
 		return err
 	}
-	w.encBuf = payload[:0]
+	return w.writeRecordLocked(rb)
+}
+
+// writeRecordLocked writes one encoded record, stamped with the next
+// record ordinal, and rolls the segment if it crossed the size threshold.
+func (w *Writer) writeRecordLocked(rb *recordBuf) error {
+	if rb.n == 0 {
+		return nil
+	}
+	rec := rb.seal(w.records)
 	if rel := w.records - w.seg.baseRecord; rel%uint64(w.opts.IndexEvery) == 0 {
 		w.seg.entries = append(w.seg.entries, idxEntry{
 			tupleOrd: w.streamTuples,
-			tsNs:     w.batch[0].Ts.UnixNano(),
+			tsNs:     rb.firstTs,
 			offset:   w.segBytes,
 		})
 	}
 	if w.seg.firstTsNs == 0 {
-		w.seg.firstTsNs = w.batch[0].Ts.UnixNano()
+		w.seg.firstTsNs = rb.firstTs
 	}
-	for i := range w.batch {
-		if ns := w.batch[i].Ts.UnixNano(); ns > w.seg.lastTsNs {
-			w.seg.lastTsNs = ns
-		}
+	if rb.maxTs > w.seg.lastTsNs {
+		w.seg.lastTsNs = rb.maxTs
 	}
-	var hdr [recHeaderBytes]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.bw.Write(payload); err != nil {
-		return err
+	if _, err := w.f.Write(rec); err != nil {
+		// A short write leaves a torn record at the segment tail; a later
+		// record landing behind it would be unreadable history.
+		w.f.Close()
+		w.failed = fmt.Errorf("store: stream %q: record write failed: %w", w.man.Stream, err)
+		return w.failed
 	}
 	w.records++
-	w.tuples += uint64(len(w.batch))
-	w.streamTuples += uint64(len(w.batch))
-	w.batch = w.batch[:0]
-	w.bytes += uint64(recHeaderBytes + len(payload))
-	w.segBytes += int64(recHeaderBytes + len(payload))
+	w.tuples += uint64(rb.n)
+	w.streamTuples += uint64(rb.n)
+	w.bytes += uint64(len(rec))
+	w.segBytes += int64(len(rec))
 	if w.segBytes >= w.opts.SegmentBytes {
 		if err := w.rollLocked(); err != nil {
 			// A failed roll leaves no segment safe to append to — the old
@@ -284,14 +307,11 @@ func (w *Writer) rollLocked() error {
 	return w.openSegment(w.segIndex+1, w.records)
 }
 
-// sealLocked flushes and closes the current segment file, then writes its
-// sparse index sidecar. The sidecar lands only after the data it describes
+// sealLocked closes the current segment file, then writes its sparse
+// index sidecar. The sidecar lands only after the data it describes
 // is safely closed; a crash between the two just leaves a sealed segment
 // without an index, which readers scan.
 func (w *Writer) sealLocked() error {
-	if err := w.bw.Flush(); err != nil {
-		return err
-	}
 	if w.opts.Sync {
 		if err := w.f.Sync(); err != nil {
 			return err
@@ -312,21 +332,15 @@ func (w *Writer) sealLocked() error {
 	})
 }
 
-// Flush writes any buffered tuples out as a (possibly short) record and
-// pushes everything to the OS; with Options.Sync it also fsyncs.
+// Flush writes any appended tuples out as a (possibly short) record; with
+// Options.Sync it also fsyncs.
 func (w *Writer) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.failed != nil {
-		return w.failed
-	}
-	if w.closed {
-		return fmt.Errorf("store: writer for %q is closed", w.man.Stream)
-	}
-	if err := w.writeRecordLocked(); err != nil {
+	if err := w.usableLocked(); err != nil {
 		return err
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flushRecordLocked(); err != nil {
 		return err
 	}
 	if w.opts.Sync {
@@ -335,8 +349,8 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// Close flushes buffered tuples and closes the segment file. The stream
-// can be resumed later with Open.
+// Close writes any appended tuples and closes the segment file. The
+// stream can be resumed later with Open.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -345,11 +359,16 @@ func (w *Writer) Close() error {
 	}
 	w.closed = true
 	if w.failed != nil {
-		// The roll already closed (or lost) the segment file; there is
-		// nothing consistent left to flush into.
+		// The failed roll or write already closed (or lost) the segment
+		// file; there is nothing consistent left to flush into.
 		return w.failed
 	}
-	if err := w.writeRecordLocked(); err != nil {
+	err := w.flushRecordLocked()
+	if w.rec != nil {
+		recordPool.Put(w.rec)
+		w.rec = nil
+	}
+	if err != nil {
 		return err
 	}
 	return w.sealLocked()
